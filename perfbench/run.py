@@ -12,7 +12,8 @@ result as its last stdout line.
 
 An untraced scan run splits --seconds over SPLIT_PROCESSES fresh
 processes, each with one set-up, and reports the mean of their metrics
-(the median for peak RSS, which one transient allocation can inflate). A
+(the median for peak RSS, which one transient allocation can inflate, and
+for set-up time, which one slow process would otherwise dominate). A
 scan process's speed depends on its address-space layout: with ASLR,
 scan_reuse jobs settle at either ~100 or ~133 ms per process, while with
 ASLR off they stay within 4%. One process would report a single draw of
@@ -100,11 +101,11 @@ def check_result(line, trace):
 
 def combine(results):
     """One result from per-process results: ops add up, metrics take the
-    mean across processes (peak RSS the median)."""
+    mean across processes (peak RSS and set-up time the median)."""
     metrics = {}
     for name, first in results[0]["metrics"].items():
         values = [r["metrics"][name]["value"] for r in results]
-        if name == "peak_rss_mb":
+        if name in ("peak_rss_mb", "setup_s"):
             value = statistics.median(values)
         else:
             value = statistics.fmean(values)

@@ -4,9 +4,10 @@
 //
 // Three connections carry score-clip requests: about half draw from a hot
 // pattern set (cache repeats), the rest are fresh clips. A fourth carries
-// scan-region requests over small layout regions plus a periodic
-// reload-weights of the *same* blob — the write path, which flushes the
-// model's cache and swaps its snapshot without changing any score.
+// scan-region requests over small layout regions plus one reload-weights
+// of the *same* blob in the middle of each rung — the write path, which
+// flushes the model's cache and swaps its snapshot without changing any
+// score.
 //
 // Arrivals are Poisson, generated from the seed before the clock starts;
 // every request is timed from its due time, so a stall also charges the
@@ -14,9 +15,15 @@
 // first (nominal) rung gives the latency figures, and the highest rung
 // whose score-clip p99 stays within kLimitMs and whose backlog drains
 // gives the sustainable rate (serve_max_rps). A closed-loop phase, with
-// the score connections sending back to back, measures the capacity the
-// benchmark reports as throughput; it moves smoothly with server speed,
-// where the ladder's answer jumps a whole rung on host noise.
+// the score connections sending back to back until its time is up,
+// measures the capacity the benchmark reports as throughput (the median
+// completion rate over quarter-second slices); it moves smoothly with
+// server speed, where the ladder's answer jumps a whole rung on host noise.
+//
+// Fresh clips are never stored: fresh clip `key` is generated on demand
+// from its own seed stream (a few microseconds), so the closed loop can
+// send as many as a server of any speed completes, and the verifier
+// regenerates exactly the clip that was sent.
 
 #include <algorithm>
 #include <atomic>
@@ -24,6 +31,9 @@
 #include <limits>
 #include <sstream>
 #include <thread>
+#include <unordered_map>
+
+#include <sys/prctl.h>
 
 #include "lhd/nn/serialize.hpp"
 #include "lhd/serve/client.hpp"
@@ -51,38 +61,43 @@ constexpr std::size_t kRegions = 16;
 constexpr int kRegionTiles = 2;        ///< regions are 2x2 clip tiles
 constexpr geom::Coord kScanStrideNm = 512;
 constexpr double kScanRate = 40.0;     ///< scan-region requests per second
-constexpr double kReloadPeriodS = 0.5;
 constexpr double kLimitMs = 50.0;      ///< score-clip p99 limit per rung
 constexpr double kAbortMs = 250.0;     ///< a rung this far behind is over
 constexpr double kNominalShare = 1.0 / 3.0;  ///< of the budget, rung one
-constexpr double kCapacityShare = 0.15;  ///< of the budget, closed loop
-/// Requests planned per second of the closed-loop phase, comfortably above
-/// what the score connections complete, so the plan never runs out.
-constexpr double kCapacityPlanRate = 15000;
+constexpr double kCapacityShare = 1.0 / 3.0;  ///< of the budget, closed loop
+/// The closed loop's capacity is the median completion rate over slices
+/// this long, so a host stall of a few slices does not move it.
+constexpr double kCapacitySliceS = 0.25;
 /// Score-clip requests per second, all connections together. The first
-/// rung is the nominal rate. The server saturates near 6000-6500 req/s on
-/// 4 hardware threads, so there is deliberately no rung there: a rung at
-/// the knee passes or fails with host noise, and the reported rate would
-/// flip between runs.
+/// rung is the nominal rate. On 4 hardware threads, open-loop traffic
+/// starts missing the limit between 3500 and 5000 req/s, and the closed
+/// loop completes 7000-8500 req/s. A rung at the knee would pass or fail
+/// with host noise and make the reported rate flip between runs.
 constexpr double kLadder[] = {1000, 2000, 3500, 5000, 8000};
-/// Rates tried in order only when the nominal rung fails, so a slowed host
-/// still reports the rate it sustains instead of none.
-constexpr double kFallback[] = {500, 250};
+/// Fresh-clip keys of the closed loop start here, one block per
+/// connection; keys below belong to the planned rungs.
+constexpr std::uint64_t kClosedKeyBlock = std::uint64_t{1} << 40;
+/// Outcome slots reserved per closed-loop connection, far above what one
+/// connection completes. Reserved pages are touched only as outcomes are
+/// written, so the closed loop adds to peak RSS in proportion to what it
+/// completes, with no vector-doubling copies that would make peak RSS jump
+/// with server speed.
+constexpr std::size_t kClosedReserve = std::size_t{1} << 18;
 
 enum class Kind : std::uint8_t { Hot, Fresh, Scan, Reload };
 
 struct Planned {
   double due = 0.0;  ///< seconds after the rung starts
   Kind kind = Kind::Hot;
-  std::uint32_t index = 0;  ///< into hot / fresh / regions
+  std::uint64_t index = 0;  ///< hot / region index, or fresh-clip key
 };
 
 struct Rung {
   double rate = 0.0;
   double seconds = 0.0;
-  bool fallback = false;  ///< from kFallback
-  /// Closed loop: every request is due at once, so each connection sends
-  /// back to back until `seconds` pass; what completes is the capacity.
+  /// Closed loop: nothing is planned; each score connection draws requests
+  /// and sends them back to back until `seconds` pass, and what completes
+  /// is the capacity.
   bool closed = false;
   /// One schedule per connection; the last is the scan/reload connection.
   std::vector<std::vector<Planned>> connections;
@@ -90,7 +105,7 @@ struct Rung {
 
 struct Outcome {
   Kind kind = Kind::Hot;
-  std::uint32_t index = 0;
+  std::uint64_t index = 0;
   bool sent = false;
   double due = 0.0, start = 0.0, done = 0.0;  ///< seconds after rung start
   serve::Status status = serve::Status::Error;
@@ -105,55 +120,43 @@ struct ServeState {
   ScanModel model;
   std::vector<std::uint8_t> blob;
   std::vector<std::vector<geom::Rect>> hot;
-  std::vector<std::vector<geom::Rect>> fresh;
   std::vector<std::vector<geom::Rect>> regions;
+  std::uint64_t fresh_seed = 0;   ///< fresh clip k comes from stream k
+  std::uint64_t closed_seed = 0;  ///< per-connection draws of the closed loop
   std::vector<Rung> base_plan;    ///< untraced pass of a traced run
   std::vector<Rung> main_plan;
 };
 
-Planned score_request(double due, Rng& rng, std::uint32_t& fresh_count) {
+std::vector<geom::Rect> fresh_clip(const ServeState& st, std::uint64_t key) {
+  Rng rng(sub_seed(st.fresh_seed, key));
+  return synth::generate_clip(scan_style(), rng);
+}
+
+Planned score_request(double due, Rng& rng, std::uint64_t& fresh_key) {
   Planned p;
   p.due = due;
   if (rng.next_bool(kHotShare)) {
     p.kind = Kind::Hot;
-    p.index = static_cast<std::uint32_t>(rng.next_below(kHotClips));
+    p.index = rng.next_below(kHotClips);
   } else {
     p.kind = Kind::Fresh;
-    p.index = fresh_count++;
+    p.index = fresh_key++;
   }
   return p;
 }
 
-/// The closed-loop phase: score-clip traffic only, all due at once.
-Rung capacity_rung(double seconds, Rng& rng, std::uint32_t& fresh_count) {
-  Rung rung;
-  rung.closed = true;
-  rung.seconds = seconds;
-  rung.connections.resize(kScoreConnections + 1);
-  const auto per_conn = static_cast<std::size_t>(
-      kCapacityPlanRate * seconds / static_cast<double>(kScoreConnections));
-  for (std::size_t c = 0; c < kScoreConnections; ++c) {
-    for (std::size_t i = 0; i < per_conn; ++i) {
-      rung.connections[c].push_back(score_request(0.0, rng, fresh_count));
-    }
-  }
-  return rung;
-}
-
 std::vector<Rung> plan(double seconds, bool ladder, Rng& rng,
-                       std::uint32_t& fresh_count) {
+                       std::uint64_t& fresh_key) {
   std::vector<Rung> rungs;
-  const std::size_t up = ladder ? std::size(kLadder) : 1;
-  const std::size_t n = ladder ? up + std::size(kFallback) : 1;
+  const std::size_t n = ladder ? std::size(kLadder) : 1;
   const double nominal_s = ladder ? seconds * kNominalShare : seconds;
   const double rung_s =
       ladder ? seconds * (1.0 - kNominalShare - kCapacityShare) /
-                   static_cast<double>(up - 1)
+                   static_cast<double>(n - 1)
              : 0.0;
   for (std::size_t r = 0; r < n; ++r) {
     Rung rung;
-    rung.fallback = r >= up;
-    rung.rate = rung.fallback ? kFallback[r - up] : kLadder[r];
+    rung.rate = kLadder[r];
     rung.seconds = r == 0 ? nominal_s : rung_s;
     rung.connections.resize(kScoreConnections + 1);
     const double per_conn = rung.rate / static_cast<double>(kScoreConnections);
@@ -162,25 +165,26 @@ std::vector<Rung> plan(double seconds, bool ladder, Rng& rng,
       for (;;) {
         t += -std::log(1.0 - rng.next_double()) / per_conn;
         if (t >= rung.seconds) break;
-        rung.connections[c].push_back(score_request(t, rng, fresh_count));
+        rung.connections[c].push_back(score_request(t, rng, fresh_key));
       }
     }
     auto& side = rung.connections[kScoreConnections];
     for (double t = 0.0;;) {
       t += -std::log(1.0 - rng.next_double()) / kScanRate;
       if (t >= rung.seconds) break;
-      side.push_back({t, Kind::Scan,
-                      static_cast<std::uint32_t>(rng.next_below(kRegions))});
+      side.push_back({t, Kind::Scan, rng.next_below(kRegions)});
     }
-    for (double t = kReloadPeriodS / 2; t < rung.seconds; t += kReloadPeriodS) {
-      side.push_back({t, Kind::Reload, 0});
-    }
+    side.push_back({rung.seconds / 2, Kind::Reload, 0});
     std::sort(side.begin(), side.end(),
               [](const Planned& a, const Planned& b) { return a.due < b.due; });
     rungs.push_back(std::move(rung));
   }
   if (ladder) {
-    rungs.push_back(capacity_rung(seconds * kCapacityShare, rng, fresh_count));
+    Rung closed;
+    closed.closed = true;
+    closed.seconds = seconds * kCapacityShare;
+    closed.connections.resize(kScoreConnections + 1);
+    rungs.push_back(std::move(closed));
   }
   return rungs;
 }
@@ -194,16 +198,16 @@ std::unique_ptr<ServeState> build_state(const RunOptions& opts) {
   st->blob.assign(bytes.begin(), bytes.end());
 
   Rng rng(sub_seed(opts.seed, 10));
+  st->fresh_seed = sub_seed(opts.seed, 11);
+  st->closed_seed = sub_seed(opts.seed, 12);
   const synth::StyleConfig style = scan_style();
-  std::uint32_t fresh = 0;
+  std::uint64_t fresh = 0;
   if (opts.trace) st->base_plan = plan(opts.seconds / 3, false, rng, fresh);
   st->main_plan =
       plan(opts.trace ? 2 * opts.seconds / 3 : opts.seconds, true, rng, fresh);
+  LHD_CHECK(fresh < kClosedKeyBlock, "too many planned fresh clips");
   for (std::size_t i = 0; i < kHotClips; ++i) {
     st->hot.push_back(synth::generate_clip(style, rng));
-  }
-  for (std::uint32_t i = 0; i < fresh; ++i) {
-    st->fresh.push_back(synth::generate_clip(style, rng));
   }
   for (std::size_t i = 0; i < kRegions; ++i) {
     std::vector<geom::Rect> region;
@@ -234,7 +238,7 @@ const char* span_name(Kind kind) {
   return "serve.request";
 }
 
-/// Runs one rung open-loop; returns one outcome per planned request.
+/// Runs one rung; returns one outcome per request planned or drawn.
 std::vector<std::vector<Outcome>> run_rung(
     const ServeState& st, const Rung& rung,
     std::vector<std::unique_ptr<serve::Client>>& clients, Tracer* tracer,
@@ -247,53 +251,84 @@ std::vector<std::vector<Outcome>> run_rung(
   };
   const geom::Coord window = scan_style().window_nm;
 
+  // Sends `p` once it is due and records the answer. `clip` is the
+  // score-clip geometry (null for the other kinds).
+  const auto send = [&](serve::Client& client, const Planned& p,
+                         const std::vector<geom::Rect>* clip) {
+    Outcome o;
+    o.kind = p.kind;
+    o.index = p.index;
+    o.due = p.due;
+    std::this_thread::sleep_until(
+        t0 + std::chrono::duration_cast<Clock::duration>(
+                 std::chrono::duration<double>(p.due)));
+    const std::uint64_t id = request_ids.fetch_add(1);
+    o.sent = true;
+    o.start = since(Clock::now());
+    serve::Response resp;
+    {
+      const ScopedSpan span(tracer, span_name(p.kind), 0, id);
+      switch (p.kind) {
+        case Kind::Hot:
+        case Kind::Fresh:
+          resp = client.score_clip("", window, *clip);
+          break;
+        case Kind::Scan:
+          resp = client.scan_region("", window, kScanStrideNm,
+                                    st.regions[p.index]);
+          break;
+        case Kind::Reload:
+          resp = client.reload_weights("", st.blob);
+          break;
+      }
+    }
+    o.done = since(Clock::now());
+    o.status = serve::response_status(resp);
+    if (const auto* s = std::get_if<serve::ScoreResult>(&resp.body)) {
+      o.score = s->score;
+    } else if (const auto* w = std::get_if<serve::ScanResultWire>(&resp.body)) {
+      o.windows = w->windows_total;
+    } else if (const auto* r = std::get_if<serve::ReloadResult>(&resp.body)) {
+      o.version = r->version;
+    }
+    return o;
+  };
+
   const auto drive = [&](std::size_t c) {
+    // Wake at the due time, not up to the default 50 us timer slack later:
+    // lateness is charged to the request's latency.
+    prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
     serve::Client& client = *clients[c];
+    std::vector<geom::Rect> fresh;
+    const auto clip_of = [&](const Planned& p) -> const std::vector<geom::Rect>* {
+      if (p.kind == Kind::Hot) return &st.hot[p.index];
+      if (p.kind != Kind::Fresh) return nullptr;
+      fresh = fresh_clip(st, p.index);
+      return &fresh;
+    };
+    if (rung.closed) {
+      if (c >= kScoreConnections) return;
+      out[c].reserve(kClosedReserve);
+      Rng rng(sub_seed(st.closed_seed, c));
+      std::uint64_t key = kClosedKeyBlock * (c + 1);
+      while (since(Clock::now()) < rung.seconds) {
+        const Planned p = score_request(0.0, rng, key);
+        out[c].push_back(send(client, p, clip_of(p)));
+      }
+      return;
+    }
+    out[c].reserve(rung.connections[c].size());
     for (const Planned& p : rung.connections[c]) {
-      Outcome o;
-      o.kind = p.kind;
-      o.index = p.index;
-      o.due = p.due;
-      if (abort.load(std::memory_order_relaxed) ||
-          (rung.closed && since(Clock::now()) >= rung.seconds)) {
+      if (abort.load(std::memory_order_relaxed)) {
+        Outcome o;
+        o.kind = p.kind;
+        o.index = p.index;
+        o.due = p.due;
         out[c].push_back(o);
         continue;
       }
-      std::this_thread::sleep_until(
-          t0 + std::chrono::duration_cast<Clock::duration>(
-                   std::chrono::duration<double>(p.due)));
-      const std::uint64_t id = request_ids.fetch_add(1);
-      o.sent = true;
-      o.start = since(Clock::now());
-      serve::Response resp;
-      {
-        const ScopedSpan span(tracer, span_name(p.kind), 0, id);
-        switch (p.kind) {
-          case Kind::Hot:
-            resp = client.score_clip("", window, st.hot[p.index]);
-            break;
-          case Kind::Fresh:
-            resp = client.score_clip("", window, st.fresh[p.index]);
-            break;
-          case Kind::Scan:
-            resp = client.scan_region("", window, kScanStrideNm,
-                                      st.regions[p.index]);
-            break;
-          case Kind::Reload:
-            resp = client.reload_weights("", st.blob);
-            break;
-        }
-      }
-      o.done = since(Clock::now());
-      o.status = serve::response_status(resp);
-      if (const auto* s = std::get_if<serve::ScoreResult>(&resp.body)) {
-        o.score = s->score;
-      } else if (const auto* w = std::get_if<serve::ScanResultWire>(&resp.body)) {
-        o.windows = w->windows_total;
-      } else if (const auto* r = std::get_if<serve::ReloadResult>(&resp.body)) {
-        o.version = r->version;
-      }
-      if (!rung.closed && o.latency_ms() > kAbortMs) abort.store(true);
+      const Outcome o = send(client, p, clip_of(p));
+      if (o.latency_ms() > kAbortMs) abort.store(true);
       out[c].push_back(o);
     }
   };
@@ -313,6 +348,18 @@ struct RungFigures {
   std::size_t unsent = 0;
   std::size_t refused = 0;  ///< Busy or Error answers
   double drain_ms = 0.0;    ///< last completion after the rung's end
+  /// Ok score-clip completion rate in each kCapacitySliceS slice of the
+  /// rung (slices wholly inside it): completions after the slice's first,
+  /// over the time from its first to its last.
+  std::vector<double> slice_rates;
+  /// Score-clip cache lookups during the rung (score connections only).
+  std::uint64_t cache_hits = 0, cache_misses = 0;
+
+  double cache_hit_ratio() const {
+    const std::uint64_t n = cache_hits + cache_misses;
+    return n == 0 ? 0.0
+                  : static_cast<double>(cache_hits) / static_cast<double>(n);
+  }
 };
 
 RungFigures figures(const Rung& rung,
@@ -340,6 +387,33 @@ RungFigures figures(const Rung& rung,
     }
   }
   f.drain_ms = 1e3 * std::max(0.0, last_done - rung.seconds);
+  const auto slices =
+      static_cast<std::size_t>(std::floor(rung.seconds / kCapacitySliceS));
+  struct Slice {
+    std::size_t n = 0;
+    double first = std::numeric_limits<double>::infinity();
+    double last = -std::numeric_limits<double>::infinity();
+  };
+  std::vector<Slice> done(slices);
+  for (const auto& conn : outcomes) {
+    for (const Outcome& o : conn) {
+      if (!o.sent || o.status != serve::Status::Ok ||
+          (o.kind != Kind::Hot && o.kind != Kind::Fresh)) {
+        continue;
+      }
+      const auto k = static_cast<std::size_t>(o.done / kCapacitySliceS);
+      if (k >= slices) continue;
+      ++done[k].n;
+      done[k].first = std::min(done[k].first, o.done);
+      done[k].last = std::max(done[k].last, o.done);
+    }
+  }
+  for (const Slice& slice : done) {
+    if (slice.n >= 2 && slice.last > slice.first) {
+      f.slice_rates.push_back(static_cast<double>(slice.n - 1) /
+                              (slice.last - slice.first));
+    }
+  }
   return f;
 }
 
@@ -389,21 +463,36 @@ PassResult run_pass(const ServeState& st, const std::vector<Rung>& rungs,
         *ends.back(), static_cast<std::uint32_t>(c)));
   }
 
+  // Score connections are tenants 0..kScoreConnections-1, so their
+  // counters give the score-clip cache lookups alone.
+  const auto score_cache = [&server](const char* leaf) {
+    const auto counters = server.registry().counters();
+    std::uint64_t n = 0;
+    for (std::size_t c = 0; c < kScoreConnections; ++c) {
+      const auto it = counters.find("serve.tenant." + std::to_string(c) +
+                                    "." + leaf);
+      if (it != counters.end()) n += it->second;
+    }
+    return n;
+  };
+
   PassResult pass;
   std::atomic<std::uint64_t> request_ids{1};
   // Climb from the nominal rung until a rung fails (higher ones would fail
-  // too). If the nominal rung itself fails, descend through the fallback
-  // rates until one passes.
+  // too), then run the closed loop.
   const auto run = [&](const Rung& rung) {
+    const std::uint64_t hits = score_cache("cache_hits");
+    const std::uint64_t misses = score_cache("cache_misses");
     pass.ran.push_back(&rung);
     pass.rungs.push_back(run_rung(st, rung, clients, tracer, request_ids));
     pass.figures.push_back(figures(rung, pass.rungs.back()));
+    pass.figures.back().cache_hits = score_cache("cache_hits") - hits;
+    pass.figures.back().cache_misses = score_cache("cache_misses") - misses;
     return passes(pass.figures.back());
   };
-  const bool nominal_ok = run(rungs.front());
-  for (std::size_t r = 1; r < rungs.size(); ++r) {
-    if (rungs[r].closed || rungs[r].fallback == nominal_ok) continue;
-    if (run(rungs[r]) != nominal_ok) break;
+  for (const Rung& rung : rungs) {
+    if (rung.closed) continue;
+    if (!run(rung)) break;
   }
   if (rungs.back().closed) run(rungs.back());
   pass.histograms = server.registry().histograms();
@@ -418,31 +507,36 @@ PassResult run_pass(const ServeState& st, const std::vector<Rung>& rungs,
 std::pair<std::size_t, std::size_t> verify_pass(const ServeState& st,
                                                 const PassResult& pass,
                                                 Recorder& rec) {
-  // Direct scores of every clip some Ok answer claims to score.
-  std::vector<std::uint8_t> need_hot(st.hot.size(), 0),
-      need_fresh(st.fresh.size(), 0);
+  // Direct scores of every clip some Ok answer claims to score; fresh
+  // clips are regenerated from their keys.
+  const geom::Coord window = scan_style().window_nm;
+  const core::Detector& det = *st.model.detector;
+  std::vector<std::uint8_t> need_hot(st.hot.size(), 0);
+  std::vector<const Outcome*> fresh_ok;
   for (const auto& rung : pass.rungs) {
     for (const auto& conn : rung) {
       for (const Outcome& o : conn) {
         if (o.status != serve::Status::Ok) continue;
         if (o.kind == Kind::Hot) need_hot[o.index] = 1;
-        if (o.kind == Kind::Fresh) need_fresh[o.index] = 1;
+        if (o.kind == Kind::Fresh) fresh_ok.push_back(&o);
       }
     }
   }
-  std::vector<float> hot_score(st.hot.size()), fresh_score(st.fresh.size());
-  const geom::Coord window = scan_style().window_nm;
-  const core::Detector& det = *st.model.detector;
+  std::vector<float> hot_score(st.hot.size());
   ThreadPool::global().parallel_for(0, st.hot.size(), [&](std::size_t i) {
     if (need_hot[i]) {
       hot_score[i] = det.score(canonical_window_clip(st.hot[i], window));
     }
   });
-  ThreadPool::global().parallel_for(0, st.fresh.size(), [&](std::size_t i) {
-    if (need_fresh[i]) {
-      fresh_score[i] = det.score(canonical_window_clip(st.fresh[i], window));
-    }
+  std::vector<float> scores(fresh_ok.size());
+  ThreadPool::global().parallel_for(0, fresh_ok.size(), [&](std::size_t i) {
+    scores[i] = det.score(
+        canonical_window_clip(fresh_clip(st, fresh_ok[i]->index), window));
   });
+  std::unordered_map<std::uint64_t, float> fresh_score;
+  for (std::size_t i = 0; i < fresh_ok.size(); ++i) {
+    fresh_score.emplace(fresh_ok[i]->index, scores[i]);
+  }
 
   std::vector<std::size_t> region_windows;
   for (const auto& region : st.regions) {
@@ -467,8 +561,9 @@ std::pair<std::size_t, std::size_t> verify_pass(const ServeState& st,
         switch (o.kind) {
           case Kind::Hot:
           case Kind::Fresh: {
-            const float direct = o.kind == Kind::Hot ? hot_score[o.index]
-                                                     : fresh_score[o.index];
+            const float direct = o.kind == Kind::Hot
+                                     ? hot_score[o.index]
+                                     : fresh_score.at(o.index);
             if (!same_bits(o.score, direct)) {
               ++failed;
               rec.error("score-clip answered " + std::to_string(o.score) +
@@ -541,8 +636,8 @@ void run_serve_mixed(const RunOptions& opts, Tracer* tracer, Recorder& rec) {
   const double score_p99 = nearest_rank(sorted, 0.99);
   const TimingStats scan_stats = timing_stats(finite(nominal.scan_ms));
 
-  // Ladder: highest passing rung's achieved rate. Closed loop: completed
-  // score-clip requests per second, in-flight tail included.
+  // Ladder: highest passing rung's achieved rate. Closed loop: median
+  // completed score-clip requests per second over its slices.
   double max_rps = 0.0;
   double capacity = 0.0;
   for (std::size_t r = 0; r < pass.figures.size(); ++r) {
@@ -550,10 +645,15 @@ void run_serve_mixed(const RunOptions& opts, Tracer* tracer, Recorder& rec) {
     const Rung& rung = *pass.ran[r];
     std::ostringstream os;
     if (rung.closed) {
-      capacity = static_cast<double>(f.ok_scores) /
-                 (rung.seconds + f.drain_ms / 1e3);
+      std::vector<double> rates = f.slice_rates;
+      std::sort(rates.begin(), rates.end());
+      capacity = rates.empty() ? 0.0 : nearest_rank(rates, 0.5);
       os << "closed loop, " << kScoreConnections << " connections for "
-         << rung.seconds << " s: " << capacity << " score-clip req/s";
+         << rung.seconds << " s: median over " << rates.size() << " slices "
+         << capacity << ", slowest " << (rates.empty() ? 0.0 : rates.front())
+         << ", mean "
+         << static_cast<double>(f.ok_scores) / (rung.seconds + f.drain_ms / 1e3)
+         << " score-clip req/s, cache hit ratio " << f.cache_hit_ratio();
       rec.note(os.str());
       continue;
     }
@@ -576,8 +676,21 @@ void run_serve_mixed(const RunOptions& opts, Tracer* tracer, Recorder& rec) {
   rec.note("hot-set share of score-clip requests " +
            std::to_string(static_cast<double>(hot) /
                           static_cast<double>(std::max<std::size_t>(1, scores))));
+  rec.note("score-clip cache hit ratio (nominal rung) " +
+           std::to_string(nominal.cache_hit_ratio()));
   rec.timing("score-clip latency from due time (nominal rung)",
              finite(nominal.score_ms), "ms");
+  for (const Kind kind : {Kind::Hot, Kind::Fresh}) {
+    std::vector<double> ms;
+    for (const auto& conn : pass.rungs.front()) {
+      for (const Outcome& o : conn) {
+        if (o.kind == kind && o.sent && o.status == serve::Status::Ok) {
+          ms.push_back(o.latency_ms());
+        }
+      }
+    }
+    rec.timing(kind == Kind::Hot ? "  hot clips" : "  fresh clips", ms, "ms");
+  }
   rec.timing("scan-region latency from due time (nominal rung)",
              finite(nominal.scan_ms), "ms");
   rec.timing("generator lateness (nominal rung)", nominal.late_ms, "ms");
@@ -632,13 +745,7 @@ void run_serve_mixed(const RunOptions& opts, Tracer* tracer, Recorder& rec) {
   rec.set("serve.busy",
           busy == pass.counters.end() ? 0.0 : static_cast<double>(busy->second),
           "count");
-  double hits = 0.0, misses = 0.0;
-  for (const auto& [name, value] : pass.counters) {
-    if (name.ends_with(".cache_hits")) hits += static_cast<double>(value);
-    if (name.ends_with(".cache_misses")) misses += static_cast<double>(value);
-  }
-  rec.set("serve.cache_hit_ratio",
-          hits + misses > 0 ? hits / (hits + misses) : 0.0, "ratio");
+  rec.set("serve.cache_hit_ratio", nominal.cache_hit_ratio(), "ratio");
   rec.set("serve.reload_ms", mean(reload_ms), "ms");
   rec.set("serve.gen_late_ms", mean(nominal.late_ms), "ms");
 

@@ -24,7 +24,7 @@ struct RunOptions {
   std::uint64_t seed = 1;
   double seconds = 10.0;  ///< measurement budget
   bool trace = false;     ///< traced run: per-layer metrics
-  int setups = 3;         ///< set-up repetitions (untraced runs)
+  int setups = 5;         ///< set-up repetitions (untraced runs)
 };
 
 /// Collects what one workload run measured. Metric names are the ones in
